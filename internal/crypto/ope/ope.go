@@ -38,7 +38,7 @@ type Cipher struct {
 	rangeBits  uint
 
 	mu        sync.Mutex
-	nodeCache map[nodeKey]uint64 // (domain, range) interval -> split point x
+	nodeCache map[nodeKey]uint64 // range interval -> domain points mapped below its midpoint
 	leafCache map[uint64]uint64  // plaintext -> ciphertext
 	inflight  map[uint64]*inflightEnc
 	useCache  bool
@@ -52,8 +52,14 @@ type inflightEnc struct {
 	ct   uint64
 }
 
+// nodeKey names a node of the search tree by its range interval alone.
+// The range bisection does not depend on the key or the plaintext (a
+// node's midpoint is a function of rlo and rhi), so each range interval
+// occurs at most once in the tree, and its domain interval is fixed by the
+// splits above it. Keying by the range half of the node halves the cache's
+// key bytes.
 type nodeKey struct {
-	dlo, dhi, rlo, rhi uint64
+	rlo, rhi uint64
 }
 
 // DefaultDomainBits and DefaultRangeBits match the paper's headline numbers:
@@ -278,7 +284,7 @@ func (c *Cipher) split(dlo, dhi, rlo, rhi uint64) (drawn, y uint64) {
 	}
 	y = rlo + half - 1
 
-	key := nodeKey{dlo, dhi, rlo, rhi}
+	key := nodeKey{rlo, rhi}
 	c.mu.Lock()
 	useCache := c.useCache // snapshot: DisableCache may race with a walk
 	if useCache {

@@ -2,6 +2,7 @@ package rnd
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +153,73 @@ func TestNewIVFresh(t *testing.T) {
 	}
 	if len(a) != IVSize {
 		t.Fatalf("IV length %d, want %d", len(a), IVSize)
+	}
+}
+
+// TestCipherMatchesFunctions pins the RND ciphertexts for a fixed key and
+// IV (values recorded from the per-call functions before Cipher existed)
+// and requires the package functions and a Cipher built once for the key
+// to produce them byte for byte, and to decrypt them back.
+func TestCipherMatchesFunctions(t *testing.T) {
+	key := []byte("column key: t.c/Eq/RND")
+	iv := []byte("0123456789abcdef")
+	c := New(key)
+	for _, kat := range []struct{ pt, ct string }{
+		{"", "4dee11cf9e760ae7fd2d155cea968b4b"},
+		{"x", "d77e6758bdc6469c2b475d9da167458e"},
+		{"sixteen bytes!!!", "21deab90b13a0aa05a5e56bb9df04ab39cb7bb65af575c61135e4587a6a1d10a"},
+		{"a longer plaintext spanning blocks", "7d452c29bcacdc49aa55a08602cdfb23bd7e906e2455f82bb5a688ad9d55d2ea54c3ab72ba24c53ffaa625d972a26256"},
+	} {
+		fn, err := Bytes(key, iv, []byte(kat.pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := c.Bytes(iv, []byte(kat.pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(fn); got != kat.ct {
+			t.Fatalf("Bytes(%q) = %s, want %s", kat.pt, got, kat.ct)
+		}
+		if !bytes.Equal(cached, fn) {
+			t.Fatalf("Cipher.Bytes(%q) = %x, Bytes = %x", kat.pt, cached, fn)
+		}
+		for _, dec := range []func([]byte) ([]byte, error){
+			func(ct []byte) ([]byte, error) { return DecryptBytes(key, iv, ct) },
+			func(ct []byte) ([]byte, error) { return c.DecryptBytes(iv, ct) },
+		} {
+			if pt, err := dec(fn); err != nil || string(pt) != kat.pt {
+				t.Fatalf("decrypting %q: %q, %v", kat.pt, pt, err)
+			}
+		}
+	}
+	for _, kat := range []struct{ pt, ct uint64 }{
+		{0, 0xe430102f7a30c417},
+		{42, 0x5584e192b9c59a6d},
+		{1 << 63, 0xc8af9090ddb93e7d},
+		{^uint64(0), 0x833b608cb8bc7486},
+	} {
+		fn, err := Uint64(key, iv, kat.pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := c.Uint64(iv, kat.pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fn != kat.ct || cached != kat.ct {
+			t.Fatalf("Uint64(%d) = %#x, Cipher.Uint64 = %#x, want %#x", kat.pt, fn, cached, kat.ct)
+		}
+		a, errA := DecryptUint64(key, iv, kat.ct)
+		b, errB := c.DecryptUint64(iv, kat.ct)
+		if errA != nil || errB != nil || a != kat.pt || b != kat.pt {
+			t.Fatalf("decrypting %#x: %d (%v), %d (%v), want %d", kat.ct, a, errA, b, errB, kat.pt)
+		}
+	}
+	if _, err := c.Bytes([]byte("short"), nil); err == nil {
+		t.Fatal("Cipher.Bytes accepted a short IV")
+	}
+	if _, err := c.DecryptBytes(iv, []byte("not-a-block")); err == nil {
+		t.Fatal("Cipher.DecryptBytes accepted a partial block")
 	}
 }

@@ -68,6 +68,23 @@ func (p *Proxy) opeCipher(cm *ColumnMeta) *ope.Cipher {
 	return cm.opeCipher
 }
 
+// rndCipher returns the column's RND schedules for onion o, built on first
+// use: deriving the key and expanding it per value cost more than the
+// encryption itself.
+func (p *Proxy) rndCipher(cm *ColumnMeta, o onion.Onion) *rnd.Cipher {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	c := cm.rndCiphers[o]
+	if c == nil {
+		c = rnd.New(p.colKey(cm, o, onion.RND))
+		if cm.rndCiphers == nil {
+			cm.rndCiphers = make(map[onion.Onion]*rnd.Cipher, 3)
+		}
+		cm.rndCiphers[o] = c
+	}
+	return c
+}
+
 func (p *Proxy) searchCipher(cm *ColumnMeta) *search.Cipher {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
@@ -147,7 +164,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 		if cm.Type == sqlparser.TypeInt {
 			detCt := p.detCipher(cm).Uint64(uint64(v.I))
 			if cur == onion.RND {
-				wrapped, err := rnd.Uint64(p.colKey(cm, onion.Eq, onion.RND), iv, detCt)
+				wrapped, err := p.rndCipher(cm, onion.Eq).Uint64(iv, detCt)
 				if err != nil {
 					return sqldb.Value{}, err
 				}
@@ -157,7 +174,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 		}
 		detCt := p.detCipher(cm).Bytes(plaintextBytes(v))
 		if cur == onion.RND {
-			wrapped, err := rnd.Bytes(p.colKey(cm, onion.Eq, onion.RND), iv, detCt)
+			wrapped, err := p.rndCipher(cm, onion.Eq).Bytes(iv, detCt)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -168,7 +185,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 	case onion.JAdj:
 		jv := p.joinKey(cm).Compute(p.joinPRF, plaintextBytes(v))
 		if cur == onion.RND {
-			wrapped, err := rnd.Bytes(p.colKey(cm, onion.JAdj, onion.RND), iv, jv)
+			wrapped, err := p.rndCipher(cm, onion.JAdj).Bytes(iv, jv)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -186,7 +203,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 			return sqldb.Value{}, err
 		}
 		if cur == onion.RND {
-			wrapped, err := rnd.Uint64(p.colKey(cm, onion.Ord, onion.RND), iv, opeCt)
+			wrapped, err := p.rndCipher(cm, onion.Ord).Uint64(iv, opeCt)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -226,7 +243,7 @@ func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, erro
 				return sqldb.Value{}, fmt.Errorf("proxy: missing IV decrypting %s.%s", cm.Table.Logical, cm.Logical)
 			}
 			var err error
-			u, err = rnd.DecryptUint64(p.colKey(cm, onion.Eq, onion.RND), iv.B, u)
+			u, err = p.rndCipher(cm, onion.Eq).DecryptUint64(iv.B, u)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -240,7 +257,7 @@ func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, erro
 			return sqldb.Value{}, fmt.Errorf("proxy: missing IV decrypting %s.%s", cm.Table.Logical, cm.Logical)
 		}
 		var err error
-		b, err = rnd.DecryptBytes(p.colKey(cm, onion.Eq, onion.RND), iv.B, b)
+		b, err = p.rndCipher(cm, onion.Eq).DecryptBytes(iv.B, b)
 		if err != nil {
 			return sqldb.Value{}, err
 		}

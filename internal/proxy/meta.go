@@ -12,6 +12,7 @@ import (
 	"repro/internal/crypto/det"
 	"repro/internal/crypto/joinadj"
 	"repro/internal/crypto/ope"
+	"repro/internal/crypto/rnd"
 	"repro/internal/crypto/search"
 	"repro/internal/onion"
 	"repro/internal/sqlparser"
@@ -62,6 +63,7 @@ type ColumnMeta struct {
 	opeCipher    *ope.Cipher
 	detCipher    *det.Cipher
 	searchCipher *search.Cipher
+	rndCiphers   map[onion.Onion]*rnd.Cipher // per onion with an RND layer
 
 	// joinKey is the column's current effective JOIN-ADJ key; it changes
 	// when the column is re-keyed to a join-base (§3.4).

@@ -1,9 +1,11 @@
 package proxy
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/crypto/rnd"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 )
@@ -587,5 +589,40 @@ func TestServerPlanCounters(t *testing.T) {
 	}
 	if st.HashJoins == 0 {
 		t.Fatalf("encrypted equi-join did not hash-join: %+v", st)
+	}
+}
+
+// TestRNDCipherCachedPerColumn checks that the RND schedules cached on a
+// column encrypt byte for byte like the per-call functions under the
+// column's derived key, once per onion, and that the stored RND layers
+// they wrap still decrypt.
+func TestRNDCipherCachedPerColumn(t *testing.T) {
+	p := newTestProxy(t)
+	seedEmployees(t, p)
+	iv := []byte("0123456789abcdef")
+	for _, col := range []string{"name", "salary"} {
+		cm := p.Table("employees").Col(col)
+		for _, o := range []onion.Onion{onion.Eq, onion.Ord, onion.JAdj} {
+			c := p.rndCipher(cm, o)
+			if p.rndCipher(cm, o) != c {
+				t.Fatalf("%s/%s: RND cipher rebuilt on the second use", col, o)
+			}
+			key := p.colKey(cm, o, onion.RND)
+			want, err := rnd.Bytes(key, iv, []byte("plaintext"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := c.Bytes(iv, []byte("plaintext")); !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: cached Bytes %x, per-call %x", col, o, got, want)
+			}
+			wantInt, _ := rnd.Uint64(key, iv, 12345)
+			if got, _ := c.Uint64(iv, 12345); got != wantInt {
+				t.Fatalf("%s/%s: cached Uint64 %#x, per-call %#x", col, o, got, wantInt)
+			}
+		}
+	}
+	res := mustExec(t, p, "SELECT name, salary FROM employees WHERE id = 23")
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "Alice" || res.Rows[0][1].I != 60000 {
+		t.Fatalf("decrypted row: %v", res.Rows)
 	}
 }

@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 
-	"repro/internal/crypto/rnd"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
@@ -52,7 +51,7 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	if err != nil {
 		return fmt.Errorf("proxy: re-encryption read: %w", err)
 	}
-	key := p.colKey(cm, o, onion.RND)
+	rc := p.rndCipher(cm, o)
 	for _, row := range res.Rows {
 		val, iv := row[1], row[2]
 		if val.IsNull() {
@@ -64,13 +63,13 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 		var wrapped sqldb.Value
 		switch val.Kind {
 		case sqldb.KindInt:
-			w, err := rnd.Uint64(key, iv.B, uint64(val.I))
+			w, err := rc.Uint64(iv.B, uint64(val.I))
 			if err != nil {
 				return err
 			}
 			wrapped = sqldb.Int(int64(w))
 		case sqldb.KindBlob:
-			w, err := rnd.Bytes(key, iv.B, val.B)
+			w, err := rc.Bytes(iv.B, val.B)
 			if err != nil {
 				return err
 			}

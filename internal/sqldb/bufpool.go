@@ -266,8 +266,12 @@ func (t *Table) faultPage(id int) *rowPage {
 		}
 		p = loaded
 	}
-	if !t.pages[id].CompareAndSwap(nil, p) {
-		return t.pages[id].Load() // lost an install race; use the winner's
+	for !t.pages[id].CompareAndSwap(nil, p) {
+		// Lost an install race: use the winner's page, unless a concurrent
+		// sweep has already evicted it again, in which case install ours.
+		if w := t.pages[id].Load(); w != nil {
+			return w
+		}
 	}
 	pg.admit(t, id, p)
 	pg.evictToBudgetExcept(p)

@@ -16,15 +16,15 @@
 // A checkpoint writes only the pages dirtied since the last one — pause is
 // proportional to churn, not data size — in three phases:
 //
-//	1. capture  (db.mu held)   encode every dirty page; clear dirty, set
+//	(1) capture (db.mu held)   encode every dirty page; clear dirty, set
 //	                           flushing so eviction keeps its hands off;
 //	                           snapshot the manifest directory at S.
-//	2. write    (no db.mu)     segment files + new MANIFEST, each synced
+//	(2) write   (no db.mu)     segment files + new MANIFEST, each synced
 //	                           and the manifest installed atomically
 //	                           (temp + fsync + rename + dir sync).
 //	                           Commits proceed concurrently; their frames
 //	                           carry seq > S and replay on top.
-//	3. install  (db.mu held)   point pages at their new segments, advance
+//	(3) install (db.mu held)   point pages at their new segments, advance
 //	                           snapSeq, truncate the WAL to frames > S.
 //
 // Crash safety: segment files are never overwritten — every checkpoint
@@ -39,10 +39,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,7 +97,12 @@ func buildSegFile(table string, id int, p *rowPage) []byte {
 }
 
 // parseSegFile verifies and decodes one segment file, invoking fn for each
-// stored row with its local slot.
+// stored row with its local slot. A page costs one CRC pass, one pass that
+// validates the rows and sizes their variable-length cells, and one pass
+// that decodes them. Every blob of the page is copied into one
+// exactly-sized byte arena and every text into one string, so the only
+// per-row allocation is the row's own []Value. Rows handed to fn alias
+// those arenas, never data: the caller may reuse data once this returns.
 func parseSegFile(data []byte, fn func(local int, row []Value) error) (table string, id int, err error) {
 	if len(data) < len(segMagic)+frameHdrLen || string(data[:len(segMagic)]) != segMagic {
 		return "", 0, fmt.Errorf("sqldb: not a page segment file")
@@ -122,31 +129,152 @@ func parseSegFile(data []byte, fn func(local int, row []Value) error) (table str
 	if err != nil {
 		return "", 0, err
 	}
-	for n := uint64(0); n < count; n++ {
-		local, err := d.byte()
-		if err != nil {
-			return table, id, err
-		}
-		ncells, err := d.uvarint()
-		if err != nil {
-			return table, id, err
-		}
-		row := make([]Value, ncells)
-		for i := range row {
-			if row[i], err = d.value(); err != nil {
-				return table, id, err
-			}
-		}
-		if err := fn(int(local), row); err != nil {
-			return table, id, err
-		}
+	rows := d.off
+	blobBytes, textBytes, err := walkSegRows(d, count, nil, nil)
+	if err != nil {
+		return table, id, err
+	}
+	d.off = rows
+	a := &segArena{blob: make([]byte, 0, blobBytes)}
+	a.text.Grow(textBytes)
+	if _, _, err := walkSegRows(d, count, a, fn); err != nil {
+		return table, id, err
 	}
 	return table, id, nil
 }
 
-// loadSegment materializes one page from its segment file (the fault path).
+// segArena holds the variable-length cells of one decoded page. Both
+// buffers are sized up front by a validating walk, so appending never
+// moves them and every cell handed out stays valid.
+type segArena struct {
+	blob []byte
+	text strings.Builder
+}
+
+// walkSegRows walks the count rows of a segment payload. With a == nil it
+// only validates them (slots strictly ascending, known value kinds, no
+// trailing bytes) and returns the blob and text bytes they hold. Otherwise
+// it decodes each row, with its cells in a, and hands it to fn.
+func walkSegRows(d *walDecoder, count uint64, a *segArena, fn func(local int, row []Value) error) (blobBytes, textBytes int, err error) {
+	prev := -1
+	for n := uint64(0); n < count; n++ {
+		local, err := d.byte()
+		if err != nil {
+			return 0, 0, err
+		}
+		if int(local) <= prev {
+			return 0, 0, fmt.Errorf("sqldb: page segment slots out of order")
+		}
+		prev = int(local)
+		ncells, err := d.uvarint()
+		if err != nil {
+			return 0, 0, err
+		}
+		if ncells > uint64(len(d.buf)-d.off) {
+			return 0, 0, io.ErrUnexpectedEOF // every cell takes at least one byte
+		}
+		var row []Value
+		if a != nil {
+			row = make([]Value, ncells)
+		}
+		for i := 0; i < int(ncells); i++ {
+			k, err := d.byte()
+			if err != nil {
+				return 0, 0, err
+			}
+			// Cells are written field by field into the zeroed row (a zero
+			// Value is NULL): an integer cell then stores no pointer, so
+			// decoding it needs no GC write barrier.
+			var v *Value
+			if row != nil {
+				v = &row[i]
+			}
+			switch Kind(k) {
+			case KindNull:
+			case KindInt:
+				b, err := d.bytes(8)
+				if err != nil {
+					return 0, 0, err
+				}
+				if v != nil {
+					v.Kind, v.I = KindInt, int64(binary.BigEndian.Uint64(b))
+				}
+			case KindText, KindBlob:
+				size, err := d.uvarint()
+				if err != nil {
+					return 0, 0, err
+				}
+				b, err := d.bytes(size)
+				if err != nil {
+					return 0, 0, err
+				}
+				if Kind(k) == KindText {
+					textBytes += len(b)
+					if v != nil {
+						start := a.text.Len()
+						a.text.Write(b)
+						v.Kind, v.S = KindText, a.text.String()[start:]
+					}
+				} else {
+					blobBytes += len(b)
+					if v != nil {
+						v.Kind = KindBlob
+						if len(b) > 0 {
+							start := len(a.blob)
+							a.blob = append(a.blob, b...)
+							v.B = a.blob[start:len(a.blob):len(a.blob)]
+						}
+					}
+				}
+			default:
+				return 0, 0, fmt.Errorf("sqldb: page segment: unknown value kind %d", k)
+			}
+		}
+		if a != nil {
+			if err := fn(int(local), row); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	if !d.done() {
+		return 0, 0, fmt.Errorf("sqldb: page segment has trailing bytes")
+	}
+	return blobBytes, textBytes, nil
+}
+
+// segReadBufs recycles segment read buffers: decoded rows never alias the
+// buffer (see parseSegFile), so it is free for the next fault as soon as
+// the page is built.
+var segReadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readSegFile reads a whole segment file into *buf, growing it as needed.
+func readSegFile(path string, buf *[]byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(fi.Size())
+	if cap(*buf) < size {
+		*buf = make([]byte, size)
+	}
+	data := (*buf)[:size]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// loadSegment materializes one page from its segment file (the fault path):
+// one read into a recycled buffer, one CRC check and one decode.
 func loadSegment(path string, t *Table, id int) (*rowPage, error) {
-	data, err := os.ReadFile(path)
+	buf := segReadBufs.Get().(*[]byte)
+	defer segReadBufs.Put(buf)
+	data, err := readSegFile(path, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -541,12 +669,13 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 	}
 	occs := make(map[string]*occ)
 	var diskTotal int64
+	var readBuf []byte
 	for _, e := range entries {
 		t := db.tables[e.table]
 		if t == nil {
 			return 0, fmt.Errorf("sqldb: manifest references unknown table %s", e.table)
 		}
-		seg, err := os.ReadFile(filepath.Join(db.pager.dir, e.file))
+		seg, err := readSegFile(filepath.Join(db.pager.dir, e.file), &readBuf)
 		if err != nil {
 			return 0, fmt.Errorf("sqldb: reading page segment: %w", err)
 		}

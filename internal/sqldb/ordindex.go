@@ -80,7 +80,7 @@ func (ix *ordIndex) insert(v Value, slot int) {
 		update[ix.level] = ix.head
 		ix.level++
 	}
-	node := &ordNode{key: key, val: v, slots: []int{slot}, next: make([]*ordNode, lvl)}
+	node := &ordNode{key: key, val: detachValue(v, key), slots: []int{slot}, next: make([]*ordNode, lvl)}
 	for l := 0; l < lvl; l++ {
 		node.next[l] = update[l].next[l]
 		update[l].next[l] = node
@@ -90,6 +90,22 @@ func (ix *ordIndex) insert(v Value, slot int) {
 		node.next[0].prev = node
 	}
 	ix.keys++
+}
+
+// detachValue returns v with no bytes shared with the row it came from.
+// An index outlives the page a row was decoded from, and a faulted page's
+// text and blob cells are slices of one per-page arena (parseSegFile), so
+// keeping a cell would pin the whole arena after the page is evicted.
+// Text reuses the index key's copy (key is OrdKey: a tag byte, then the
+// text); blobs are copied.
+func detachValue(v Value, key string) Value {
+	switch v.Kind {
+	case KindText:
+		v.S = key[1:]
+	case KindBlob:
+		v.B = append([]byte(nil), v.B...)
+	}
+	return v
 }
 
 // remove drops one (value, slot) entry; a no-op if absent.

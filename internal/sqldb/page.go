@@ -125,6 +125,96 @@ func (t *Table) rowAt(slot int) []Value {
 	return t.page(slot >> pageShift).rows[slot&pageMask]
 }
 
+// Batch sizes for index-driven reads of paged tables: the first batch
+// holds the rows the caller expects to need (its LIMIT plus OFFSET, when
+// known), and each further batch doubles, up to maxFetchBatch.
+const (
+	minFetchBatch = 16
+	maxFetchBatch = 256
+)
+
+// nextBatch clamps a batch size into [minFetchBatch, maxFetchBatch].
+func nextBatch(n int) int {
+	return min(max(n, minFetchBatch), maxFetchBatch)
+}
+
+// fetchRows visits the live rows of slots in the given order. On a paged
+// table each distinct page of the batch is looked up, and faulted if
+// evicted, exactly once, and the batch holds the page pointers until it
+// has visited every slot: a page that the batch's own faults evict is read
+// from the held copy, never faulted again. fn returns false to stop;
+// fetchRows reports whether it visited every slot. Callers hold db.mu
+// (either side).
+func (t *Table) fetchRows(slots []int, fn func(slot int, row []Value) bool) bool {
+	if t.pager == nil { // resident pages never fault
+		for _, slot := range slots {
+			if row := t.rowAt(slot); row != nil && !fn(slot, row) {
+				return false
+			}
+		}
+		return true
+	}
+	held := make(map[int]*rowPage, len(slots))
+	pages := make([]*rowPage, len(slots))
+	for i, slot := range slots {
+		id := slot >> pageShift
+		p := held[id]
+		if p == nil {
+			p = t.page(id)
+			held[id] = p
+		}
+		pages[i] = p
+	}
+	for i, slot := range slots {
+		if row := pages[i].rows[slot&pageMask]; row != nil && !fn(slot, row) {
+			return false
+		}
+	}
+	return true
+}
+
+// fetchSlots visits the live rows of slots in order, through fetchRows in
+// doubling batches, so a page holding many of the slots is faulted once
+// per batch rather than once per row. fn returns false to stop.
+func (t *Table) fetchSlots(slots []int, fn func(slot int, row []Value) bool) {
+	for size := minFetchBatch; len(slots) > 0; size = nextBatch(2 * size) {
+		n := min(size, len(slots))
+		if !t.fetchRows(slots[:n], fn) {
+			return
+		}
+		slots = slots[n:]
+	}
+}
+
+// fetchOrdered visits the live rows of ix's entries in rng in index order
+// (descending when desc; equal keys in slot order either way), through
+// fetchRows in batches that start at first slots and double. fn returns
+// false to stop.
+func (t *Table) fetchOrdered(ix *ordIndex, rng ordRange, desc bool, first int, fn func(slot int, row []Value) bool) {
+	walk := ix.ascendRange
+	if desc {
+		walk = ix.descendRange
+	}
+	size := nextBatch(first)
+	batch := make([]int, 0, size)
+	more := true
+	walk(rng, func(n *ordNode) bool {
+		for _, slot := range n.slots {
+			if batch = append(batch, slot); len(batch) == size {
+				more = t.fetchRows(batch, fn)
+				batch, size = batch[:0], nextBatch(2*size)
+				if !more {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	if more && len(batch) > 0 {
+		t.fetchRows(batch, fn)
+	}
+}
+
 // growTo extends the slot space to at least n slots, materializing fresh
 // empty pages for any new page ids. Callers hold db.mu's write side.
 func (t *Table) growTo(n int) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +287,60 @@ func TestPagedCacheBounded(t *testing.T) {
 	}
 	if db.DiskSizeBytes() <= 0 {
 		t.Fatal("DiskSizeBytes reported nothing on a checkpointed paged database")
+	}
+
+	// Nothing that outlives a page may alias its decode buffers. Recovery
+	// inserts every segment row into the indexes, and an ordered index on
+	// a blob column keeps one value per key: were that value a slice of
+	// the faulted page's arena, every page's arena, padding included,
+	// would stay pinned after eviction. So reopen, scan repeatedly at the
+	// tiny budget, and require the live heap to stay well below the
+	// table's blob bytes.
+	bdir := t.TempDir()
+	bdb, err := Open(bdir, pagedTestOpts(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, bdb, "CREATE TABLE bl (id INT PRIMARY KEY, bk BLOB, pad BLOB)")
+	mustExec(t, bdb, "CREATE INDEX bl_bk ON bl (bk) USING BTREE")
+	const blobRows, padLen = 4096, 2048
+	for base := 0; base < blobRows; base += 64 {
+		marks := strings.TrimSuffix(strings.Repeat("(?, ?, ?), ", 64), ", ")
+		var params []Value
+		for id := base; id < base+64; id++ {
+			params = append(params, Int(int64(id)), Blob([]byte(fmt.Sprintf("k%07d", id))),
+				Blob([]byte(strings.Repeat(string(rune('a'+id%26)), padLen))))
+		}
+		mustExec(t, bdb, "INSERT INTO bl (id, bk, pad) VALUES "+marks, params...)
+	}
+	if err := bdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	bdb, err = Open(bdir, pagedTestOpts(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bdb.Close()
+	for i := 0; i < 3; i++ {
+		res := mustExec(t, bdb, "SELECT COUNT(*) FROM bl WHERE pad <> bk")
+		if len(res.Rows) != 1 || res.Rows[0][0].I != blobRows {
+			t.Fatalf("blob scan: %+v", res.Rows)
+		}
+	}
+	res = mustExec(t, bdb, "SELECT MIN(bk), MAX(bk) FROM bl")
+	if string(res.Rows[0][0].B) != "k0000000" || string(res.Rows[0][1].B) != fmt.Sprintf("k%07d", blobRows-1) {
+		t.Fatalf("MIN/MAX from the blob index: %v", res.Rows[0])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	grown := int64(ms.HeapAlloc) - int64(base)
+	t.Logf("live heap grew %d bytes over the reopen and scans", grown)
+	if grown > blobRows*padLen/2 {
+		t.Fatalf("live heap grew %d bytes over a reopen and scans of %d bytes of padding: evicted pages are pinned", grown, blobRows*padLen)
 	}
 }
 

@@ -262,24 +262,9 @@ func (a access) iterate(t *Table, fn func(slot int, row []Value) bool) {
 	switch a.kind {
 	case accessEmpty:
 	case accessEq:
-		for _, slot := range a.slots {
-			if row := t.rowAt(slot); row != nil {
-				if !fn(slot, row) {
-					return
-				}
-			}
-		}
+		t.fetchSlots(a.slots, fn)
 	case accessRange:
-		a.idx.ascendRange(a.rng, func(n *ordNode) bool {
-			for _, slot := range n.slots {
-				if row := t.rowAt(slot); row != nil {
-					if !fn(slot, row) {
-						return false
-					}
-				}
-			}
-			return true
-		})
+		t.fetchOrdered(a.idx, a.rng, false, 0, fn)
 	default:
 		t.scan(fn)
 	}

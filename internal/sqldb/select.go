@@ -129,41 +129,27 @@ func (db *DB) tryOrderedSelect(s *sqlparser.SelectStmt, sc *scope, params []Valu
 
 	res := &Result{Columns: cols}
 	var walkErr error
-	visit := func(n *ordNode) bool {
-		for _, slot := range n.slots {
-			row := t.rowAt(slot)
-			if row == nil {
-				continue
-			}
-			tup := tuple{row}
-			if s.Where != nil {
-				ctx := &evalCtx{db: db, scope: sc, tup: tup, params: params}
-				v, err := ctx.eval(s.Where)
-				if err != nil {
-					walkErr = err
-					return false
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			out, err := db.projectRow(projExprs, sc, tup, params, nil)
+	t.fetchOrdered(ix, rng, items[0].Desc, want, func(_ int, row []Value) bool {
+		tup := tuple{row}
+		if s.Where != nil {
+			ctx := &evalCtx{db: db, scope: sc, tup: tup, params: params}
+			v, err := ctx.eval(s.Where)
 			if err != nil {
 				walkErr = err
 				return false
 			}
-			res.Rows = append(res.Rows, out)
-			if want >= 0 && len(res.Rows) >= want {
-				return false
+			if !v.Truthy() {
+				return true
 			}
 		}
-		return true
-	}
-	if items[0].Desc {
-		ix.descendRange(rng, visit)
-	} else {
-		ix.ascendRange(rng, visit)
-	}
+		out, err := db.projectRow(projExprs, sc, tup, params, nil)
+		if err != nil {
+			walkErr = err
+			return false
+		}
+		res.Rows = append(res.Rows, out)
+		return want < 0 || len(res.Rows) < want
+	})
 	if walkErr != nil {
 		return nil, true, walkErr
 	}
