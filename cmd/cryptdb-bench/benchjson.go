@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 )
 
 // Machine-readable figure output. With -json, every arm a figure measures
@@ -19,11 +20,39 @@ type benchArm struct {
 	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
 }
 
-// benchRecord is the BENCH_<fig>.json document.
+// benchRecord is the BENCH_<fig>.json document: the arms plus the machine
+// and source revision they were measured on.
 type benchRecord struct {
 	Figure     string     `json:"figure"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
+	NProc      int        `json:"nproc"`
+	GoVersion  string     `json:"go_version"`
+	Commit     string     `json:"commit"`
 	Arms       []benchArm `json:"arms"`
+}
+
+// buildCommit names the source revision the binary was built from
+// ("+modified" when the tree had local changes), or "unknown" when the
+// build could not see version control (go run does not stamp it; build
+// the binary with go build to record it).
+func buildCommit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if dirty {
+		rev += "+modified"
+	}
+	return rev
 }
 
 var (
@@ -46,7 +75,14 @@ func flushJSON(fig string) error {
 	if !jsonEnabled || len(jsonArms) == 0 {
 		return nil
 	}
-	rec := benchRecord{Figure: fig, GOMAXPROCS: runtime.GOMAXPROCS(0), Arms: jsonArms}
+	rec := benchRecord{
+		Figure:     fig,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc:      runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Commit:     buildCommit(),
+		Arms:       jsonArms,
+	}
 	jsonArms = nil
 	blob, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

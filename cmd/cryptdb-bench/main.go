@@ -22,8 +22,9 @@
 //	cryptdb-bench -fig parallelexec morsel-parallel workers sweep (resident + paged)
 //	cryptdb-bench -fig all      everything
 //
-// With -json, each figure also writes BENCH_<fig>.json (ns/op, rows/s and
-// GOMAXPROCS per arm) for plotting and trend tracking.
+// With -json, each figure also writes BENCH_<fig>.json (ns/op and rows/s per
+// arm, plus GOMAXPROCS, nproc, Go version and source commit) for plotting
+// and trend tracking.
 package main
 
 import (

@@ -191,7 +191,7 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 		}
 	}
 
-	ra, rb := a.groupRoot(), b.groupRoot()
+	ra, rb := a.compressRoot(), b.compressRoot()
 	base := ra
 	if ra != rb {
 		if lexAfter(ra, rb) {

@@ -97,13 +97,22 @@ type ColumnMeta struct {
 	idxOrd     bool
 }
 
-// groupRoot finds the column's join transitivity-group representative with
-// path compression.
+// groupRoot finds the column's join transitivity-group representative. It
+// only reads joinGroup, so sessions may call it concurrently under the
+// proxy's read lock (adjNeeded does).
 func (c *ColumnMeta) groupRoot() *ColumnMeta {
 	root := c
 	for root.joinGroup != root {
 		root = root.joinGroup
 	}
+	return root
+}
+
+// compressRoot is groupRoot with path compression: every column on the
+// path is re-pointed at the root. It writes joinGroup, so callers hold the
+// proxy's write lock (adjustJoin does).
+func (c *ColumnMeta) compressRoot() *ColumnMeta {
+	root := c.groupRoot()
 	for c.joinGroup != c {
 		next := c.joinGroup
 		c.joinGroup = root

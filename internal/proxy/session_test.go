@@ -331,3 +331,50 @@ func TestCommitReSealsMetadata(t *testing.T) {
 		t.Fatalf("t.n after restart: %v", res.Rows)
 	}
 }
+
+// TestProxySessionsConcurrentJoin: two sessions run the same join at the
+// same time over a transitivity group whose union-find path is longer than
+// one hop. Deciding that the join needs no adjustment happens under the
+// proxy's read lock, so finding the group root must not write; run with
+// -race.
+func TestProxySessionsConcurrentJoin(t *testing.T) {
+	p := newTestProxy(t)
+	for _, tb := range []string{"ja", "jb", "jc"} {
+		mustExec(t, p, "CREATE TABLE "+tb+" (v TEXT)")
+		mustExec(t, p, "INSERT INTO "+tb+" (v) VALUES ('x'), ('y'), ('z')")
+	}
+	// jb-jc roots the pair at jb; ja-jb then re-roots jb at ja, leaving
+	// jc -> jb -> ja.
+	mustExec(t, p, "SELECT COUNT(*) FROM jb JOIN jc ON jb.v = jc.v")
+	mustExec(t, p, "SELECT COUNT(*) FROM ja JOIN jb ON ja.v = jb.v")
+	const join = "SELECT COUNT(*) FROM ja JOIN jc ON ja.v = jc.v"
+	if jc := p.Table("jc").Col("v"); jc.joinGroup.joinGroup == jc.joinGroup {
+		t.Fatal("setup did not leave a two-hop path from jc to its group root")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		s := p.NewSession()
+		defer s.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				res, err := s.Execute(join)
+				if err == nil && res.Rows[0][0].I != 3 {
+					err = fmt.Errorf("join count = %v, want 3", res.Rows[0][0])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

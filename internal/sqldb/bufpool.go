@@ -250,6 +250,9 @@ func (pg *pager) removeRingAt(i int) {
 // hold db.mu (either side); a read failure panics with *PageFaultError
 // (recovered at statement entry — row accessors have no error returns).
 func (t *Table) faultPage(id int) *rowPage {
+	if t.parts != nil {
+		return t.borrowPage(id)
+	}
 	pg := t.pager
 	if pg == nil {
 		// Resident mode materializes pages eagerly; a nil entry is a bug.

@@ -183,6 +183,25 @@ func (db *DB) PlanCounters() PlanCounters {
 	}
 }
 
+// Add sums o's tallies into pc. ExecWorkers, a setting rather than a
+// tally, becomes the larger of the two.
+func (pc *PlanCounters) Add(o PlanCounters) {
+	pc.FullScans += o.FullScans
+	pc.EqScans += o.EqScans
+	pc.RangeScans += o.RangeScans
+	pc.OrderedScans += o.OrderedScans
+	pc.MinMaxIndex += o.MinMaxIndex
+	pc.Compiled += o.Compiled
+	pc.Interpreted += o.Interpreted
+	pc.HashJoins += o.HashJoins
+	pc.NestedLoops += o.NestedLoops
+	pc.DegradedJoins += o.DegradedJoins
+	pc.GroupPushdowns += o.GroupPushdowns
+	pc.ParallelPipelines += o.ParallelPipelines
+	pc.Morsels += o.Morsels
+	pc.ExecWorkers = max(pc.ExecWorkers, o.ExecWorkers)
+}
+
 // absorbCounters adds a throwaway view database's planner and morsel
 // tallies into db. Transactional SELECTs execute against a per-statement
 // viewDB copy (session.go); without this their access-path and parallelism
@@ -218,12 +237,6 @@ func (db *DB) compiledExecEnabled() bool {
 	return atomic.LoadInt32(&db.noCompile) == 0
 }
 
-// CompiledExecEnabled reports whether the compiled pipeline is active.
-// Storage layers that spin up transient databases (the sharded store's
-// gather fallback) propagate the setting so a disabled pipeline stays
-// disabled end-to-end.
-func (db *DB) CompiledExecEnabled() bool { return db.compiledExecEnabled() }
-
 // SetExecWorkers configures intra-query parallelism for this database's
 // compiled pipeline: 0 restores the process default (SetDefaultExecWorkers,
 // else GOMAXPROCS), 1 forces serial execution (the ablation arm), n>1 caps
@@ -240,11 +253,6 @@ func (db *DB) SetExecWorkers(n int) {
 	}
 	atomic.StoreInt32(&db.execWorkers, int32(n))
 }
-
-// ExecWorkers returns the configured worker setting (0 = process default).
-// Storage layers that spin up transient databases (the sharded store's
-// gather fallback) propagate it, like CompiledExecEnabled.
-func (db *DB) ExecWorkers() int { return int(atomic.LoadInt32(&db.execWorkers)) }
 
 // BusyNanos reports cumulative statement execution time.
 func (db *DB) BusyNanos() int64 { return atomic.LoadInt64(&db.busyNanos) }

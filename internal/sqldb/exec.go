@@ -148,16 +148,17 @@ func (h *hashJoinSource) pairFunc(newTuple func() tuple, add func(tuple) error, 
 	}
 }
 
-// builtTable is one hash join's prepared build side. Either a borrowed
-// persistent hash index (idx != nil: the build side is an unpruned full
+// builtTable is one hash join's prepared build side. Either borrowed
+// persistent hash indexes (idx != nil: the build side is an unpruned full
 // scan over a single indexed key column, so the index *is* the build
-// table) or a transient table built from the access path, stored in one or
-// more stripes: the serial build fills a single stripe, the parallel build
-// (parallel.go) fills buildStripes keyed by a hash of the key bytes so
-// stripes build concurrently without locks.
+// table; a union table lends one index per part) or a transient table
+// built from the access path, stored in one or more stripes: the serial
+// build fills a single stripe, the parallel build (parallel.go) fills
+// buildStripes keyed by a hash of the key bytes so stripes build
+// concurrently without locks.
 type builtTable struct {
 	// Index mode.
-	idx      *hashIndex
+	idx      []indexPart
 	idxKind  Kind
 	idxHomog bool
 
@@ -219,7 +220,13 @@ func (h *hashJoinSource) prepare(workers int) (*builtTable, error) {
 	// rows the plan's sargs exclude.)
 	if len(h.keys) == 1 && h.acc.kind == accessScan {
 		if idx := h.t.indexByPos(h.keys[0].buildPos); idx != nil {
-			kind, homog := idx.soleKind()
+			var kinds [4]int
+			for _, p := range idx {
+				for k, n := range p.idx.kindCount {
+					kinds[k] += n
+				}
+			}
+			kind, homog := soleKindOf(kinds)
 			if homog {
 				atomic.AddInt64(&h.db.hashJoins, 1)
 			} else {
@@ -375,9 +382,11 @@ func (h *hashJoinSource) probeIndex(bt *builtTable, s *probeScratch, tup tuple, 
 		}
 		if cv, ok := coerceOrdBound(v, bt.idxKind); ok {
 			s.keyBuf = cv.appendKey(s.keyBuf[:0])
-			for _, slot := range bt.idx.m[string(s.keyBuf)] {
-				if err := pair(tup, h.t.rowAt(slot)); err != nil {
-					return err
+			for _, p := range bt.idx {
+				for _, slot := range p.idx.m[string(s.keyBuf)] {
+					if err := pair(tup, p.t.rowAt(slot)); err != nil {
+						return err
+					}
 				}
 			}
 			return nil

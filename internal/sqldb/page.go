@@ -1,6 +1,6 @@
 // Page-grouped row storage. A table's slot space is split into fixed-size
 // groups of pageSlots rows ("pages"); slot s lives in page s>>pageShift at
-// local index s&pageMask. Both storage modes share this layout:
+// local index s&pageMask. Every storage mode shares this layout:
 //
 //   - Resident (pager == nil): every page is always materialized. This is
 //     the seed's semantics — and the equivalence oracle the paged engine is
@@ -8,6 +8,11 @@
 //   - Paged (pager != nil): a page may be evicted to its on-disk segment
 //     (see ckpt_incremental.go) and faulted back on demand, under the byte
 //     budget the buffer cache enforces (see bufpool.go).
+//   - Union (parts != nil): a read-only view over the same table on
+//     several databases (the sharded store's cross-shard reads; see
+//     DB.SelectUnion). Its pages are the parts' pages, borrowed: resident
+//     ones by pointer when the union is built, the rest faulted through
+//     the owning part (borrowPage) and never kept by the union.
 //
 // Concurrency contract, inherited from DB: all mutation happens under
 // db.mu's write side; reads run under the read side. Faulting a page in is
@@ -21,6 +26,7 @@ package sqldb
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 )
 
@@ -125,6 +131,16 @@ func (t *Table) rowAt(slot int) []Value {
 	return t.page(slot >> pageShift).rows[slot&pageMask]
 }
 
+// borrowPage returns page id of a union table from the part that owns it,
+// faulting it through that part's pager and disk record if it is not
+// resident. The union does not keep the page: it stays charged to, and
+// evictable by, the part's own cache. A failed read panics with the
+// part's *PageFaultError, which the union's statement returns.
+func (t *Table) borrowPage(id int) *rowPage {
+	i := sort.Search(len(t.parts), func(i int) bool { return t.parts[i].base > id }) - 1
+	return t.parts[i].t.page(id - t.parts[i].base)
+}
+
 // Batch sizes for index-driven reads of paged tables: the first batch
 // holds the rows the caller expects to need (its LIMIT plus OFFSET, when
 // known), and each further batch doubles, up to maxFetchBatch.
@@ -146,7 +162,7 @@ func nextBatch(n int) int {
 // fetchRows reports whether it visited every slot. Callers hold db.mu
 // (either side).
 func (t *Table) fetchRows(slots []int, fn func(slot int, row []Value) bool) bool {
-	if t.pager == nil { // resident pages never fault
+	if t.pager == nil && t.parts == nil { // resident pages never fault
 		for _, slot := range slots {
 			if row := t.rowAt(slot); row != nil && !fn(slot, row) {
 				return false

@@ -52,7 +52,6 @@ package sqldb
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -147,7 +146,7 @@ func (p *workerTokenPool) release(n int) {
 // defaultExecWorkers is the process-wide worker-count default applied to
 // databases with no per-DB setting; the server's -exec-workers flag sets
 // it so every engine topology (single, sharded shards, replication
-// followers, gather temporaries) inherits one knob.
+// followers) inherits one knob.
 var defaultExecWorkers int32
 
 // SetDefaultExecWorkers sets the process-wide default intra-query worker
@@ -892,77 +891,4 @@ func (h *hashJoinSource) buildParallel(maxW int) (*builtTable, error) {
 	atomic.AddInt64(&h.db.morselsRun, int64(nm+buildStripes))
 	h.finishBuild(bt, kinds)
 	return bt, nil
-}
-
-//
-// Parallel index builds (sharded gather path).
-//
-
-// BuildIndexesParallel creates the given indexes on table, building each
-// index's table scan concurrently — bounded by the effective worker count
-// and the global token budget — then installing them serially. Used by the
-// sharded engine's gather executor, which previously rebuilt every index
-// of a gathered table one CREATE INDEX at a time. Runs as one autocommit
-// statement: on a WAL-backed database the index creations land in one
-// atomic redo frame; on in-memory databases (the gather temporary) redo is
-// a no-op. Already-present indexes are skipped, matching addIndex.
-func (db *DB) BuildIndexesParallel(table string, infos []IndexInfo) error {
-	_, err := db.autocommit(nil, func() (*Result, error) {
-		t, ok := db.tables[table]
-		if !ok || t.dropped {
-			return nil, fmt.Errorf("sqldb: no table %s", table)
-		}
-		type job struct {
-			info IndexInfo
-			hash *hashIndex
-			ord  *ordIndex
-		}
-		var jobs []*job
-		for _, info := range infos {
-			if info.Ordered {
-				if _, ok := t.ordIndexes[info.Column]; ok {
-					continue
-				}
-			} else if _, ok := t.indexes[info.Column]; ok {
-				continue
-			}
-			jobs = append(jobs, &job{info: info})
-		}
-		if len(jobs) == 0 {
-			return &Result{}, nil
-		}
-		nw := db.effectiveExecWorkers()
-		if nw > len(jobs) {
-			nw = len(jobs)
-		}
-		grant := 0
-		if nw > 1 {
-			grant = execTokens.tryAcquire(nw - 1)
-		}
-		defer execTokens.release(grant)
-		err := runParallelMorsels(len(jobs), grant+1, func(_, i int) error {
-			j := jobs[i]
-			var err error
-			if j.info.Ordered {
-				j.ord, err = t.buildOrdIndex(j.info.Column)
-			} else {
-				j.hash, err = t.buildHashIndex(j.info.Column, j.info.Unique)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, j := range jobs {
-			if j.info.Ordered {
-				t.ordIndexes[j.info.Column] = j.ord
-				db.redoCreateIndex(table, j.info.Column, false, true)
-			} else {
-				t.indexes[j.info.Column] = j.hash
-				db.redoCreateIndex(table, j.info.Column, j.info.Unique, false)
-			}
-		}
-		return &Result{}, nil
-	})
-	return err
 }

@@ -391,42 +391,6 @@ func TestParallelMorselDriver(t *testing.T) {
 	}
 }
 
-// TestParallelBuildIndexes checks BuildIndexesParallel installs working
-// hash and ordered indexes equivalent to serial CREATE INDEX.
-func TestParallelBuildIndexes(t *testing.T) {
-	forceParallel(t)
-	db := New()
-	db.SetExecWorkers(4)
-	mustExec(t, db, "CREATE TABLE bi (id INT PRIMARY KEY, h INT, o INT)")
-	for i := 0; i < 500; i++ {
-		mustExec(t, db, "INSERT INTO bi (id, h, o) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i%40)), Int(int64(i%60)))
-	}
-	infos := []IndexInfo{{Column: "h"}, {Column: "o", Ordered: true}}
-	if err := db.BuildIndexesParallel("bi", infos); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent on re-run, like addIndex.
-	if err := db.BuildIndexesParallel("bi", infos); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildIndexesParallel("nope", infos); err == nil {
-		t.Fatal("expected error for missing table")
-	}
-	before := db.PlanCounters()
-	res := mustExec(t, db, "SELECT COUNT(*) FROM bi WHERE h = 7")
-	if res.Rows[0][0].I != 13 {
-		t.Fatalf("eq count = %v", res.Rows[0][0])
-	}
-	res = mustExec(t, db, "SELECT COUNT(*) FROM bi WHERE o < 3")
-	if res.Rows[0][0].I != 27 {
-		t.Fatalf("range count = %v", res.Rows[0][0])
-	}
-	after := db.PlanCounters()
-	if after.EqScans == before.EqScans || after.RangeScans == before.RangeScans {
-		t.Fatalf("built indexes not used: before=%+v after=%+v", before, after)
-	}
-}
-
 // TestParallelStatsPropagation checks the new PlanCounters fields render in
 // the DB-level snapshot (the store-level sum is covered by the sharded
 // engine's tests).

@@ -384,11 +384,11 @@ func (db *DB) whereProbe(conj []sqlparser.Expr, sc *scope, ti int, placed []bool
 		t := sc.tabs[ti].t
 		switch {
 		case lt == ti && rt != ti && placed[rt]:
-			if _, has := t.indexes[lc]; has {
+			if t.hasIndex(lc) {
 				return b.R, lc, true
 			}
 		case rt == ti && lt != ti && placed[lt]:
-			if _, has := t.indexes[rc]; has {
+			if t.hasIndex(rc) {
 				return b.L, rc, true
 			}
 		}

@@ -47,6 +47,45 @@ type Table struct {
 	// lockSeed spreads this table's slots across the database's striped
 	// slot-lock table (see locktable.go). Fixed at creation.
 	lockSeed uint64
+
+	// parts is set on a read-only union table (newUnionTable): its pages
+	// are borrowed from these tables, and a page it does not hold is
+	// faulted through the part that owns it (see borrowPage).
+	parts []unionPart
+}
+
+// unionPart is one table a union borrows from: its page id i is union
+// page id base+i.
+type unionPart struct {
+	t    *Table
+	base int
+}
+
+// newUnionTable builds a read-only table whose slot space is the
+// concatenation of the parts' slot spaces, each starting on a page
+// boundary. It copies no rows: a page resident now is borrowed by
+// pointer, any other is faulted through its part on first access. It
+// builds no index of its own: equality lookups (lookup) and hash joins
+// (indexByPos) borrow the parts' hash indexes, and every other access
+// scans. Callers hold each part's db.mu read side for as long as the
+// union is in use, which keeps the borrowed pages and indexes immutable.
+func newUnionTable(name string, cols []Column, parts []*Table) *Table {
+	u := newTable(name, cols)
+	npages := 0
+	for _, p := range parts {
+		u.parts = append(u.parts, unionPart{t: p, base: npages})
+		npages += (p.nslots + pageMask) >> pageShift
+		u.live += p.live
+		u.dataBytes += p.dataBytes
+	}
+	u.pages = make([]atomic.Pointer[rowPage], npages)
+	for _, part := range u.parts {
+		for id := range (part.t.nslots + pageMask) >> pageShift {
+			u.pages[part.base+id].Store(part.t.pages[id].Load())
+		}
+		u.nslots = max(u.nslots, part.base<<pageShift+part.t.nslots)
+	}
+	return u
 }
 
 // IndexInfo describes one index on a table, for introspection: storage
@@ -198,10 +237,7 @@ func (t *Table) addIndex(column string, unique bool) error {
 	return nil
 }
 
-// buildHashIndex scans the table into a new, uninstalled hash index. The
-// build phase is side-effect free on the table, so several indexes can
-// build concurrently (BuildIndexesParallel) before being installed under
-// the write lock.
+// buildHashIndex scans the table into a new, uninstalled hash index.
 func (t *Table) buildHashIndex(column string, unique bool) (*hashIndex, error) {
 	pos := t.ColumnIndex(column)
 	if pos < 0 {
@@ -389,22 +425,70 @@ func (t *Table) updateCellUnchecked(slot, pos int, v Value) {
 	}
 }
 
-// indexByPos returns the hash index over the column at pos, if any. The
-// compiled hash join uses it as a prebuilt build table.
-func (t *Table) indexByPos(pos int) *hashIndex {
+// indexPart is one hash index with the table whose slots it addresses.
+type indexPart struct {
+	t   *Table
+	idx *hashIndex
+}
+
+// indexByPos returns the hash index over the column at pos: the table's
+// own, or for a union one per part (nil unless every part has one). The
+// compiled hash join uses them as a prebuilt build table.
+func (t *Table) indexByPos(pos int) []indexPart {
+	if t.parts != nil {
+		out := make([]indexPart, 0, len(t.parts))
+		for _, p := range t.parts {
+			ip := p.t.indexByPos(pos)
+			if ip == nil {
+				return nil
+			}
+			out = append(out, ip...)
+		}
+		return out
+	}
 	for _, idx := range t.indexes {
 		if idx.pos == pos {
-			return idx
+			return []indexPart{{t: t, idx: idx}}
 		}
 	}
 	return nil
 }
 
+// hasIndex reports whether lookup can serve equality on column: the table
+// has a hash index on it or, for a union, every part has one.
+func (t *Table) hasIndex(column string) bool {
+	if t.parts != nil {
+		for _, p := range t.parts {
+			if !p.t.hasIndex(column) {
+				return false
+			}
+		}
+		return true
+	}
+	_, ok := t.indexes[column]
+	return ok
+}
+
 // lookup returns the row slots whose indexed column equals v. ok=false when
 // no index exists or when the stored kinds could coerce against v in ways a
 // key lookup cannot see — the caller must then fall back to a scan, which
-// preserves SQL's coercing comparison semantics.
+// preserves SQL's coercing comparison semantics. A union borrows its
+// parts' indexes: it asks each part and shifts the slots into its own
+// slot space.
 func (t *Table) lookup(column string, v Value) ([]int, bool) {
+	if t.parts != nil {
+		var out []int
+		for _, p := range t.parts {
+			slots, ok := p.t.lookup(column, v)
+			if !ok {
+				return nil, false
+			}
+			for _, s := range slots {
+				out = append(out, p.base<<pageShift+s)
+			}
+		}
+		return out, true
+	}
 	idx, ok := t.indexes[column]
 	if !ok {
 		return nil, false

@@ -453,14 +453,14 @@ func (db *DB) joinProbe(onConj []sqlparser.Expr, sc *scope, ti int) (sqlparser.E
 		case lt == ti && rt < ti:
 			equi++
 			if !found {
-				if _, has := newTable.indexes[lc]; has {
+				if newTable.hasIndex(lc) {
 					probe, probeCol, found = b.R, lc, true
 				}
 			}
 		case rt == ti && lt < ti:
 			equi++
 			if !found {
-				if _, has := newTable.indexes[rc]; has {
+				if newTable.hasIndex(rc) {
 					probe, probeCol, found = b.L, rc, true
 				}
 			}

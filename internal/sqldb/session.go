@@ -382,6 +382,71 @@ func (txn *Txn) execSelect(s *sqlparser.SelectStmt, params []Value) (*Result, er
 	return res, err
 }
 
+// SelectUnion executes a read-only SELECT across several databases at
+// once: every FROM table is the union of that table on each part
+// session's database (newUnionTable), so joins, COUNT(DISTINCT) and every
+// other shape run through the ordinary compiled pipeline (or the
+// interpreter, when the first part has SetCompiledExec(false)) directly
+// over the parts' pages and hash indexes; no row is copied and nothing is
+// re-indexed. A part whose session has an open transaction that wrote a
+// FROM table contributes the transaction's merged view of it (the copy a
+// transactional SELECT on that database reads too), so the transaction
+// reads its own writes. UDFs and execution settings come from the first
+// part's database; parts must not be empty.
+//
+// db is the coordinator: it holds none of the tables the statement reads,
+// but its PlanCounters and BusyNanos tally the statement.
+//
+// Locking: the statement holds every part's db.mu read side, taken in
+// part order after the sessions' own locks are released, so it reads one
+// consistent cut of all parts. Nothing that holds one part's db.mu ever
+// waits for another's except here, in the same order, so no cycle forms.
+func (db *DB) SelectUnion(parts []*Session, s *sqlparser.SelectStmt, params []Value) (res *Result, err error) {
+	defer db.trackBusy(time.Now())
+	txns := make([]*Txn, len(parts))
+	for i, sess := range parts {
+		sess.mu.Lock()
+		closed := sess.closed
+		txns[i] = sess.txn
+		sess.mu.Unlock()
+		if closed {
+			return nil, fmt.Errorf("sqldb: session is closed")
+		}
+	}
+	for _, sess := range parts {
+		sess.db.mu.RLock()
+		defer sess.db.mu.RUnlock()
+	}
+	first := parts[0].db
+	u := &DB{
+		tables:      make(map[string]*Table, len(s.From)),
+		udfs:        first.udfs,
+		aggUDFs:     first.aggUDFs,
+		noCompile:   atomic.LoadInt32(&first.noCompile),
+		execWorkers: atomic.LoadInt32(&first.execWorkers),
+	}
+	defer db.absorbCounters(u)
+	defer catchPageFault(&err)
+	for _, ref := range s.From {
+		if u.tables[ref.Table] != nil {
+			continue
+		}
+		ts := make([]*Table, len(parts))
+		for i, sess := range parts {
+			t, ok := sess.db.tables[ref.Table]
+			if !ok {
+				return nil, fmt.Errorf("sqldb: no table %s", ref.Table)
+			}
+			if txns[i] != nil {
+				t, _ = txns[i].mergedTable(t)
+			}
+			ts[i] = t
+		}
+		u.tables[ref.Table] = newUnionTable(ref.Table, ts[0].Cols, ts)
+	}
+	return u.execSelect(s, params)
+}
+
 func (txn *Txn) execInsert(s *sqlparser.InsertStmt, params []Value) (*Result, error) {
 	db := txn.db
 	defer db.trackBusy(time.Now())

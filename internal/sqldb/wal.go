@@ -738,7 +738,6 @@ func (w *walWriter) awaitStragglers() {
 	w.mu.Lock()
 }
 
-
 // flushCohort writes one cohort to the file and syncs it. Runs outside
 // w.mu; the flushing flag guarantees a single writer.
 func (w *walWriter) flushCohort(c *walCohort) {

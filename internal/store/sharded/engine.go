@@ -25,8 +25,9 @@
 // (COUNT sums, MIN/MAX compare, aggregate UDFs — Paillier hom_sum — are
 // re-applied to partials, which is exactly a product of partial products).
 // Query shapes the scatter planner cannot prove correct (joins, COUNT
-// DISTINCT) fall back to gathering the referenced tables into a transient
-// in-memory sqldb and executing there — slower, never wrong.
+// DISTINCT) run once on a coordinator whose tables are read-only unions of
+// the shards' pages, under every shard's read lock taken in shard order —
+// the single-node pipeline over borrowed pages, with no copy.
 //
 // Transactions are single-shard: a transaction pins itself to the first
 // shard it writes, and a statement that routes elsewhere fails with a
@@ -66,9 +67,13 @@ type Engine struct {
 
 	// groupPushdowns counts GROUP BY queries the scatter planner executed
 	// as per-shard grouped aggregation with partial recombination at the
-	// gather (as opposed to the transient-gather fallback). Engine-level
-	// because the decision is made here, not in any one shard's planner.
+	// gather (as opposed to the union fallback). Engine-level because the
+	// decision is made here, not in any one shard's planner.
 	groupPushdowns int64
+
+	// coord runs the union fallback's statements (sqldb.SelectUnion). It
+	// holds no tables; Stats folds its planner counters and busy time in.
+	coord *sqldb.DB
 
 	// metaMu serializes metadata-carrying commits so the sequence
 	// envelope order matches WAL order on every shard.
@@ -76,10 +81,9 @@ type Engine struct {
 	metaSeq uint64
 	meta    []byte
 
-	// udfMu guards the registries mirrored here so scatter merging and
-	// the gather fallback know which functions aggregate.
+	// udfMu guards the aggregate UDFs mirrored here so scatter merging
+	// knows which functions aggregate.
 	udfMu   sync.RWMutex
-	udfs    map[string]sqldb.UDF
 	aggUDFs map[string]sqldb.AggUDF
 
 	defOnce sync.Once
@@ -102,7 +106,7 @@ func newEngine(dir string, n int) *Engine {
 	return &Engine{
 		dir:     dir,
 		shards:  make([]*sqldb.DB, n),
-		udfs:    make(map[string]sqldb.UDF),
+		coord:   sqldb.New(),
 		aggUDFs: make(map[string]sqldb.AggUDF),
 	}
 }
@@ -779,9 +783,6 @@ func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params
 
 // RegisterUDF implements store.Engine.
 func (e *Engine) RegisterUDF(name string, fn sqldb.UDF) {
-	e.udfMu.Lock()
-	e.udfs[name] = fn
-	e.udfMu.Unlock()
 	for _, sh := range e.shards {
 		sh.RegisterUDF(name, fn)
 	}
@@ -864,27 +865,14 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // callers (cryptdb-server reporting, cryptdb-bench) never silently read
 // shard 0 only.
 func (e *Engine) Stats() store.Stats {
-	out := store.Stats{Shards: len(e.shards)}
+	out := store.Stats{Shards: len(e.shards), BusyNanos: e.coord.BusyNanos()}
+	// The union fallback's joins and morsels run on the coordinator, not on
+	// any shard. Its ExecWorkers is dropped: a union statement runs with
+	// shard 0's setting.
+	out.Plan = e.coord.PlanCounters()
+	out.Plan.ExecWorkers = 0
 	for _, sh := range e.shards {
-		pc := sh.PlanCounters()
-		out.Plan.FullScans += pc.FullScans
-		out.Plan.EqScans += pc.EqScans
-		out.Plan.RangeScans += pc.RangeScans
-		out.Plan.OrderedScans += pc.OrderedScans
-		out.Plan.MinMaxIndex += pc.MinMaxIndex
-		out.Plan.Compiled += pc.Compiled
-		out.Plan.Interpreted += pc.Interpreted
-		out.Plan.HashJoins += pc.HashJoins
-		out.Plan.NestedLoops += pc.NestedLoops
-		out.Plan.DegradedJoins += pc.DegradedJoins
-		out.Plan.GroupPushdowns += pc.GroupPushdowns
-		out.Plan.ParallelPipelines += pc.ParallelPipelines
-		out.Plan.Morsels += pc.Morsels
-		// ExecWorkers is a configuration snapshot, not a tally: report the
-		// widest per-statement cap any shard would use.
-		if pc.ExecWorkers > out.Plan.ExecWorkers {
-			out.Plan.ExecWorkers = pc.ExecWorkers
-		}
+		out.Plan.Add(sh.PlanCounters())
 		ws := sh.WALStats()
 		out.WAL.Batches += ws.Batches
 		out.WAL.Bytes += ws.Bytes
@@ -911,6 +899,7 @@ func (e *Engine) Stats() store.Stats {
 
 // ResetBusyNanos implements store.Engine.
 func (e *Engine) ResetBusyNanos() {
+	e.coord.ResetBusyNanos()
 	for _, sh := range e.shards {
 		sh.ResetBusyNanos()
 	}

@@ -15,17 +15,21 @@
 //     select-list expressions over aggregates evaluate post-merge on
 //     combined values (AVG anywhere decomposes into hidden SUM+COUNT
 //     columns and finalizes at the gather).
-//   - Anything the planner cannot prove correct (joins across shards,
-//     COUNT(DISTINCT)) gathers the referenced tables into a transient
-//     in-memory sqldb and executes there: slower, never wrong.
+//   - Anything the planners cannot prove correct (joins across shards,
+//     COUNT(DISTINCT)) runs once on a coordinator over borrowed shard
+//     pages: each FROM table is the union of that table's pages on every
+//     shard, resident pages by pointer and evicted ones faulted through
+//     the owning shard's cache (sqldb.SelectUnion). The single-node
+//     pipeline does the join; no row is copied.
 //
-// Reads take no cross-shard snapshot: per-shard results reflect each
-// shard's committed state at its own read time, the same read-committed
-// view concurrent sessions already get within one sqldb instance.
+// Scatter reads take no cross-shard snapshot: per-shard results reflect
+// each shard's committed state at its own read time, the same
+// read-committed view concurrent sessions already get within one sqldb
+// instance. The union fallback reads one cut: it holds every shard's read
+// lock, taken in shard order, for the whole statement.
 package sharded
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -148,7 +152,7 @@ type mergeKey struct {
 }
 
 // planPlain builds the per-shard statement and merge plan for a
-// non-aggregate single-table SELECT. ok=false falls back to gather.
+// non-aggregate single-table SELECT. ok=false falls back to the union.
 func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*plainPlan, bool) {
 	per := *s // shallow copy; slices replaced below where modified
 	plan := &plainPlan{perShard: &per, visible: -1, distinct: s.Distinct, limit: s.Limit, offset: s.Offset}
@@ -373,7 +377,7 @@ type postOrder struct {
 }
 
 // planAgg builds the per-shard statement and recombination plan for an
-// aggregate / GROUP BY SELECT. ok=false falls back to gather.
+// aggregate / GROUP BY SELECT. ok=false falls back to the union.
 func (e *Engine) planAgg(s *sqlparser.SelectStmt) (*aggPlan, bool) {
 	plan := &aggPlan{distinct: s.Distinct, limit: s.Limit, offset: s.Offset}
 	var items []sqlparser.SelectExpr
@@ -868,90 +872,21 @@ func sortMerged(rows [][]sqldb.Value, keys []postOrder, params []sqldb.Value) er
 }
 
 //
-// Gather fallback
+// Union fallback
 //
 
-// gatherExec materializes every table the query references into a
-// transient in-memory sqldb (pulling each shard's rows through this
-// connection's sessions) and executes the statement there. Correct for
-// every query shape the embedded DBMS supports — including cross-shard
-// joins — at the price of moving the tables; the scatter paths above keep
-// the common shapes off it.
+// gatherExec runs a SELECT the scatter planners cannot split (joins across
+// shards, COUNT(DISTINCT), ...) once, on a coordinator whose every FROM
+// table is the union of that table's shard pages (sqldb.SelectUnion): the
+// compiled, morsel-parallel pipeline reads the shards' pages in place, so
+// nothing is copied or re-indexed. The statement holds every shard's read
+// lock, taken in shard order, and reads one consistent cut of the shards.
+// A transaction pinned to a shard contributes its merged view there, so it
+// reads its own writes.
 func (c *Conn) gatherExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
-	e := c.eng
-	tmp := sqldb.New()
-	// Inherit the compiled-exec setting so an interpreted configuration
-	// stays interpreted through the fallback too, and the worker setting
-	// so the final join/aggregate runs morsel-parallel like any shard.
-	tmp.SetCompiledExec(e.shards[0].CompiledExecEnabled())
-	tmp.SetExecWorkers(e.shards[0].ExecWorkers())
-	e.udfMu.RLock()
-	for name, fn := range e.udfs {
-		tmp.RegisterUDF(name, fn)
+	sessions := make([]*sqldb.Session, len(c.eng.shards))
+	for i := range sessions {
+		sessions[i] = c.session(i)
 	}
-	for name, fn := range e.aggUDFs {
-		tmp.RegisterAggUDF(name, fn)
-	}
-	e.udfMu.RUnlock()
-
-	seen := make(map[string]bool)
-	for _, ref := range s.From {
-		if seen[ref.Table] {
-			continue
-		}
-		seen[ref.Table] = true
-		cols := e.tableCols(ref.Table)
-		if cols == nil {
-			return nil, fmt.Errorf("sqldb: no table %s", ref.Table)
-		}
-		ct := &sqlparser.CreateTableStmt{Name: ref.Table}
-		for _, col := range cols {
-			// No PRIMARY KEY / UNIQUE here: uniqueness was enforced at
-			// insert time per shard; re-checking a gathered copy could
-			// only reject rows that already exist.
-			ct.Cols = append(ct.Cols, sqlparser.ColumnDef{Name: col.Name, Type: col.Type})
-		}
-		if _, err := tmp.Exec(ct); err != nil {
-			return nil, err
-		}
-		sel := &sqlparser.SelectStmt{
-			Exprs: []sqlparser.SelectExpr{{Star: true}},
-			From:  []sqlparser.TableRef{{Table: ref.Table}},
-		}
-		shardRows, err := c.scatter(sel, nil)
-		if err != nil {
-			return nil, err
-		}
-		ins := &sqlparser.InsertStmt{Table: ref.Table}
-		for _, r := range shardRows {
-			for _, row := range r.Rows {
-				exprRow := make([]sqlparser.Expr, len(row))
-				for j, v := range row {
-					exprRow[j] = exprFromValue(v)
-				}
-				ins.Rows = append(ins.Rows, exprRow)
-			}
-		}
-		if len(ins.Rows) > 0 {
-			if _, err := tmp.Exec(ins); err != nil {
-				return nil, err
-			}
-		}
-		// Recreate the shard tables' indexes (after the bulk load, so they
-		// build in one pass, and in parallel across indexes — each build
-		// is an independent table scan): a central join or grouped scan
-		// over the gathered copy probes and prunes the same way it would
-		// per shard, instead of degrading to nested loops. Uniqueness is
-		// still not re-checked, per the note above.
-		if t := e.shards[0].Table(ref.Table); t != nil {
-			infos := t.Indexes()
-			for i := range infos {
-				infos[i].Unique = false
-			}
-			if err := tmp.BuildIndexesParallel(ref.Table, infos); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tmp.Exec(s, params...)
+	return c.eng.coord.SelectUnion(sessions, s, params)
 }
